@@ -189,29 +189,45 @@ class Sender(Receiver):
         self._pace_event = self.sim.schedule(delay_us, self._pace)
 
     def _pace(self) -> None:
+        """Send one paced packet, then a run of them.
+
+        After each packet, while the next send would be the very next
+        event anyway (:meth:`Simulator.advance_to`), the clock moves to
+        it and the loop sends again instead of scheduling itself.
+        """
         self._pace_event = None
         if not self._running:
             return
-        now = self.sim.now
-        rate = self.cc.pacing_rate_bps(now)
-        app_limited = (self.app_rate_bps is not None
-                       and self.app_rate_bps < rate)
-        if app_limited:
-            rate = self.app_rate_bps
-        if rate <= 0:
-            self._pacing_active = False
-            self._schedule_pacing(self._IDLE_POLL_US)
-            return
-        cwnd = self.cc.cwnd_bits(now)
-        if cwnd is not None and self.inflight_bits + self.mss_bits > cwnd:
-            # Window-limited: ACKs re-arm sending instantly.
-            self._pacing_active = False
-            self._schedule_pacing(self._IDLE_POLL_US)
-            return
-        self._transmit(app_limited=app_limited)
-        gap_us = max(1, round(self.mss_bits * US_PER_S / rate))
-        self._pacing_active = True
-        self._schedule_pacing(gap_us)
+        sim = self.sim
+        cc = self.cc
+        mss_bits = self.mss_bits
+        app_rate = self.app_rate_bps
+        perf = sim.perf
+        now = sim.now
+        while True:
+            rate = cc.pacing_rate_bps(now)
+            app_limited = app_rate is not None and app_rate < rate
+            if app_limited:
+                rate = app_rate
+            if rate <= 0:
+                self._pacing_active = False
+                self._schedule_pacing(self._IDLE_POLL_US)
+                return
+            cwnd = cc.cwnd_bits(now)
+            if cwnd is not None and self.inflight_bits + mss_bits > cwnd:
+                # Window-limited: ACKs re-arm sending instantly.
+                self._pacing_active = False
+                self._schedule_pacing(self._IDLE_POLL_US)
+                return
+            self._transmit(app_limited=app_limited)
+            gap_us = max(1, round(mss_bits * US_PER_S / rate))
+            self._pacing_active = True
+            if not (self._running and sim.advance_to(now + gap_us)):
+                self._schedule_pacing(gap_us)
+                return
+            now = sim.now
+            if perf is not None:
+                perf.packets_paced_inline += 1
 
     def _transmit(self, app_limited: bool = False) -> None:
         now = self.sim.now

@@ -273,7 +273,12 @@ class _User:
 
 
 class _Ingress(Receiver):
-    """Adapter: wired-network packets land in one user's downlink queue."""
+    """Adapter: wired-network packets land in one user's downlink queue.
+
+    ``receive`` enqueues now; ``receive_at`` (the timestamped hand-off
+    of :class:`repro.net.link.Link`) stages a future arrival with
+    :meth:`CellularNetwork.stage`.
+    """
 
     def __init__(self, network: "CellularNetwork", rnti: int) -> None:
         self.network = network
@@ -281,6 +286,10 @@ class _Ingress(Receiver):
 
     def receive(self, packet: Packet) -> None:
         self.network.enqueue(self.rnti, packet)
+
+    def receive_at(self, packet: Packet, arrive_us: int,
+                   depart_us: int) -> None:
+        self.network.stage(self.rnti, packet, arrive_us, depart_us)
 
 
 class CellularNetwork:
@@ -361,6 +370,9 @@ class CellularNetwork:
         #: control-traffic RNG is caught up by replaying exactly this
         #: many generator ticks if the cell ever becomes observable.
         self._control_lag = {c: 0 for c in self.carriers}
+        #: ``rnti -> deque[(visible_us, packet)]``: wired arrivals handed
+        #: over ahead of time (:meth:`stage`), not yet in a user queue.
+        self._staged: dict[int, deque] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -397,6 +409,8 @@ class CellularNetwork:
                    queue_packets: int, ue: Optional[UserEquipment]) -> _User:
         if rnti in self._users:
             raise ValueError(f"duplicate RNTI {rnti}")
+        # Arrivals due before the user existed are dropped.
+        self._promote(rnti)
         for cell in cells:
             if cell not in self.carriers:
                 raise ValueError(f"unknown cell {cell}")
@@ -455,6 +469,7 @@ class CellularNetwork:
 
     def remove_user(self, rnti: int) -> None:
         """Detach a user (its queued traffic is discarded)."""
+        self._promote(rnti)
         user = self._users.pop(rnti, None)
         if user is not None:
             self._user_list = None
@@ -580,6 +595,7 @@ class CellularNetwork:
         return self._users[rnti].agg
 
     def queue_backlog_bits(self, rnti: int) -> int:
+        self._promote(rnti)
         return self._users[rnti].queue.backlog_bits
 
     # ------------------------------------------------------------------
@@ -590,6 +606,47 @@ class CellularNetwork:
         if user is None:
             return  # user departed; traffic in flight is dropped
         user.queue.push(packet)
+
+    def stage(self, rnti: int, packet: Packet, arrive_us: int,
+              depart_us: int) -> None:
+        """Hand over a wired arrival ahead of time.
+
+        The packet reaches the base station at ``arrive_us`` after
+        leaving the wired link at ``depart_us``.  The first of
+        :meth:`_tick`, :meth:`add_user`, :meth:`remove_user` or
+        :meth:`queue_backlog_bits` to run once it is visible promotes
+        it into the user's queue, or drops it if no such user exists
+        then.  One RNTI's arrivals must be staged in arrival order, as
+        its one upstream FIFO link does.
+
+        Visibility keeps the order of the per-packet delivery event
+        this replaces, which was queued at ``depart_us``: the tick at
+        ``t`` is queued at ``t - SUBFRAME_US``, so an arrival exactly at
+        a tick precedes it only after more than one subframe on the
+        wire (e.g. the default 18 ms); otherwise the next tick sees it.
+        At exactly one subframe the old order also hung on the link's
+        serialization time; this puts the tick first.
+        """
+        visible = (arrive_us if arrive_us - depart_us > SUBFRAME_US
+                   else arrive_us + 1)
+        staged = self._staged.get(rnti)
+        if staged is None:
+            staged = self._staged[rnti] = deque()
+        staged.append((visible, packet))
+        if self.perf is not None:
+            self.perf.arrivals_staged += 1
+
+    def _promote(self, rnti: int) -> None:
+        """Move ``rnti``'s staged arrivals visible by now into its queue."""
+        staged = self._staged.get(rnti)
+        if not staged:
+            return
+        now = self.sim.now
+        user = self._users.get(rnti)
+        while staged and staged[0][0] <= now:
+            packet = staged.popleft()[1]
+            if user is not None:
+                user.queue.push(packet)
 
     # ------------------------------------------------------------------
     # Subframe engine
@@ -606,6 +663,9 @@ class CellularNetwork:
         t0 = time.perf_counter() \
             if perf is not None and perf.time_subsystems else 0.0
         now = self.sim.now
+        for rnti, staged in self._staged.items():
+            if staged and staged[0][0] <= now:
+                self._promote(rnti)
         subframe = self.subframe
         users = self._user_list
         if users is None:

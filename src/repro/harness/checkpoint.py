@@ -91,7 +91,7 @@ logger = logging.getLogger("repro.checkpoint")
 
 #: Schema tag + version written into every snapshot header.
 SCHEMA = "repro.harness/checkpoint"
-VERSION = 1
+VERSION = 2
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

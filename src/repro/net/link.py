@@ -1,13 +1,11 @@
-"""Wired network links with droptail queues.
+"""Wired network elements.
 
-Two flavours:
-
-* :class:`Link` — a store-and-forward link with finite rate, propagation
-  delay and a droptail queue.  Used for the Internet segment of the
-  end-to-end path (and as the Internet *bottleneck* when its rate is set
-  below the cellular capacity).
-* :class:`DelayPipe` — an infinite-rate, pure-propagation-delay pipe.
-  Used for ACK return paths and non-bottleneck segments.
+* :class:`Link` — finite-rate droptail FIFO, timed in closed form: the
+  Internet segment of the end-to-end path, or its shared bottleneck.
+* :class:`DelayPipe` — infinite-rate, pure-propagation-delay pipe.
+* :class:`BatchingPipe` — pure-delay pipe released on the LTE uplink
+  grant cycle (the ACK return path).
+* :class:`FlowDemux` and :class:`PacketSink` — routing and test sinks.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ class BatchingPipe(Receiver):
     flush itself is O(1) instead of a second pass over the burst.
     ``_held`` stays the canonical packet list (it doubles as the staged
     batch's ``packets`` column); after a checkpoint restore the stage is
-    gone (it is derived state) and the flush falls back to
-    :meth:`AckBatch.from_packets`.
+    gone (it is derived state) and the flush rebuilds it.
     """
 
     SNAPSHOT_SKIP = ("sim", "sink", "_stage")
@@ -119,49 +116,30 @@ class BatchingPipe(Receiver):
         if not self._held:
             self._open_cycle(packet.flow_id)
         stage = self._stage
-        if stage is not None:
-            stage.append(packet)  # appends to _held via the alias
-        else:
+        if stage is None:
             self._held.append(packet)
+        else:
+            stage.append(packet)  # appends to _held via the alias
 
     def receive_block(self, packets: list[Packet]) -> None:
         """Accept one burst of ACKs (same effects as per-packet calls).
 
         The columnar ACK-generation path hands a whole released
-        transport block's ACKs over in one call; the column appends are
-        hoisted into locals here instead of dispatching
-        :meth:`AckBatch.append` per packet.
+        transport block's ACKs over in one call, staged with one
+        :meth:`AckBatch.extend`.
         """
         if not packets:
             return
         held = self._held
         if not held:
             self._open_cycle(packets[0].flow_id)
-        stage = self._stage
-        if stage is None:
-            for packet in packets:
-                packet.hops += 1
-                held.append(packet)
-            return
-        flow_id = stage.flow_id
-        ap_pkt = held.append
-        ap_seq = stage.acked_seq.append
-        ap_sent = stage.sent_time_us.append
-        ap_size = stage.size_bits.append
-        ap_das = stage.delivered_at_send.append
-        ap_dtas = stage.delivered_time_at_send.append
-        ap_app = stage.app_limited.append
         for packet in packets:
             packet.hops += 1
-            if not packet.is_ack or packet.flow_id != flow_id:
-                stage.mixed = True
-            ap_pkt(packet)
-            ap_seq(packet.acked_seq)
-            ap_sent(packet.sent_time_us)
-            ap_size(packet.size_bits)
-            ap_das(packet.delivered_at_send)
-            ap_dtas(packet.delivered_time_at_send)
-            ap_app(packet.app_limited)
+        stage = self._stage
+        if stage is None:
+            held.extend(packets)
+        else:
+            stage.extend(packets)  # extends _held via the alias
 
     def _flush(self) -> None:
         batch, self._held = self._held, []
@@ -194,15 +172,22 @@ class BatchingPipe(Receiver):
 
 
 class Link(Receiver):
-    """Finite-rate link with a droptail FIFO queue.
+    """Finite-rate link with a droptail FIFO queue, in closed form.
 
-    Packets are serialized one at a time at ``rate_bps``; each then
-    propagates for ``delay_us`` before reaching ``sink``.  When the queue
-    holds ``queue_packets`` packets, further arrivals are dropped (and
-    counted), which is what loss-based congestion control reacts to.
+    Packets are serialized one at a time at ``rate_bps``, then propagate
+    for ``delay_us`` to ``sink``.  Nothing is simulated per packet: at
+    enqueue, ``depart_i = max(arrive_i, depart_{i-1}) + tx_i``, and the
+    queue holds the accepted packets whose serialization has not
+    started.  An arrival finding ``queue_packets`` of them is dropped.
+    Tie rule: a departure at ``t`` happens before an arrival at ``t``.
+
+    A sink with ``receive_at(packet, arrive_us, depart_us)`` gets each
+    packet once, at enqueue (see :meth:`repro.cell.basestation.
+    CellularNetwork.stage` for why the departure rides along); any
+    other sink gets one ``_finish`` event at ``depart + delay_us``.
     """
 
-    SNAPSHOT_SKIP = ("sim", "sink")
+    SNAPSHOT_SKIP = ("sim", "sink", "_sink_at")
 
     def __init__(self, sim: Simulator, sink: Receiver, rate_bps: float,
                  delay_us: int, queue_packets: int = 1000,
@@ -213,64 +198,69 @@ class Link(Receiver):
             raise ValueError("queue must hold at least one packet")
         self.sim = sim
         self.sink = sink
+        self._sink_at = getattr(sink, "receive_at", None)
         self.rate_bps = rate_bps
         self.delay_us = delay_us
         self.queue_packets = queue_packets
         self.name = name
-
-        self._queue: deque[Packet] = deque()
-        self._transmitting = False
-        #: Absolute time the in-progress serialization completes (only
-        #: meaningful while ``_transmitting``).
-        self._tx_end_us = 0
-
-        self.forwarded = 0
+        #: When the wire is free of every packet accepted so far.
+        self._free_us = 0
+        #: ``(start_us, size_bits)`` of packets not yet on the wire.
+        self._waiting: deque[tuple[int, int]] = deque()
+        self._accepted = 0
         self.dropped = 0
 
-    # ------------------------------------------------------------------
+    def _queued(self) -> deque:
+        """``_waiting`` after retiring packets whose serialization began."""
+        waiting = self._waiting
+        now = self.sim.now
+        while waiting and waiting[0][0] <= now:
+            waiting.popleft()
+        return waiting
+
     @property
     def queue_depth(self) -> int:
         """Packets currently queued (excluding the one being serialized)."""
-        return len(self._queue)
+        return len(self._queued())
+
+    @property
+    def forwarded(self) -> int:
+        """Packets that have departed (serialization complete)."""
+        waiting = self._queued()
+        on_wire = bool(waiting) or self._free_us > self.sim.now
+        return self._accepted - len(waiting) - on_wire
 
     def queue_delay_estimate_us(self, size_bits: int) -> int:
-        """Rough serialization delay a new arrival of ``size_bits`` sees.
+        """Serialization delay a new arrival of ``size_bits`` would see:
+        the queued backlog, the arrival itself and the remainder of the
+        packet on the wire."""
+        waiting = self._queued()
+        backlog = sum(bits for _start, bits in waiting) + size_bits
+        wire_free = waiting[0][0] if waiting else self._free_us
+        return (transmission_time_us(backlog, self.rate_bps)
+                + max(0, wire_free - self.sim.now))
 
-        Counts the queued backlog, the arrival itself, *and* the
-        remainder of the packet currently on the wire — the queue
-        alone under-reports by up to one full serialization time at
-        exactly the moment the link is busiest.
-        """
-        backlog = sum(p.size_bits for p in self._queue) + size_bits
-        estimate = transmission_time_us(backlog, self.rate_bps)
-        if self._transmitting:
-            estimate += max(0, self._tx_end_us - self.sim.now)
-        return estimate
-
-    # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if len(self._queue) >= self.queue_packets:
+        waiting = self._queued()
+        if len(waiting) >= self.queue_packets:
             self.dropped += 1
             return
         packet.hops += 1
-        self._queue.append(packet)
-        if not self._transmitting:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        packet = self._queue.popleft()
-        tx_us = transmission_time_us(packet.size_bits, self.rate_bps)
-        self._tx_end_us = self.sim.now + tx_us
-        self.sim.schedule(tx_us, self._finish, packet)
+        self._accepted += 1
+        now = self.sim.now
+        start = max(self._free_us, now)
+        if start > now:
+            waiting.append((start, packet.size_bits))
+        depart = self._free_us = start + transmission_time_us(
+            packet.size_bits, self.rate_bps)
+        arrive = depart + self.delay_us
+        if self._sink_at is not None:
+            self._sink_at(packet, arrive, depart)
+        else:
+            self.sim.schedule(arrive - now, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:
-        self.forwarded += 1
-        self.sim.schedule(self.delay_us, self.sink.receive, packet)
-        self._start_next()
+        self.sink.receive(packet)
 
 
 class FlowDemux(Receiver):
@@ -279,6 +269,7 @@ class FlowDemux(Receiver):
     Used behind a shared bottleneck :class:`Link`: several senders pour
     into one queue, and the demux fans the survivors out to each flow's
     cellular ingress (the §4.2.3 shared-Internet-bottleneck topology).
+    Behind a link, routes get the timestamped hand-off (``receive_at``).
     """
 
     #: Routes map to per-flow ingress adapters (rebuilt wiring).
@@ -295,8 +286,16 @@ class FlowDemux(Receiver):
         sink = self._routes.get(packet.flow_id)
         if sink is None:
             self.unrouted += 1
-            return
-        sink.receive(packet)
+        else:
+            sink.receive(packet)
+
+    def receive_at(self, packet: Packet, arrive_us: int,
+                   depart_us: int) -> None:
+        sink = self._routes.get(packet.flow_id)
+        if sink is None:
+            self.unrouted += 1
+        else:
+            sink.receive_at(packet, arrive_us, depart_us)
 
 
 class PacketSink(Receiver):

@@ -117,7 +117,7 @@ class AckBatch:
         """Empty batch for incremental staging.
 
         The batched uplink (:class:`repro.net.link.BatchingPipe`) builds
-        its flush batch one :meth:`append` at a time as ACKs arrive,
+        its flush batch with :meth:`append`/:meth:`extend` as ACKs arrive,
         instead of buffering packets and re-scanning them at flush time
         — each packet's fields are read exactly once.
         """
@@ -137,24 +137,31 @@ class AckBatch:
 
     @classmethod
     def from_packets(cls, packets: list["Packet"]) -> "AckBatch":
-        """Columnarize one flush's packets (single pass)."""
-        flow_id = packets[0].flow_id
-        acked_seq, sent_time_us, size_bits = [], [], []
-        delivered_at_send, delivered_time_at_send = [], []
-        app_limited = []
-        mixed = False
-        for p in packets:
-            if not p.is_ack or p.flow_id != flow_id:
-                mixed = True
-            acked_seq.append(p.acked_seq)
-            sent_time_us.append(p.sent_time_us)
-            size_bits.append(p.size_bits)
-            delivered_at_send.append(p.delivered_at_send)
-            delivered_time_at_send.append(p.delivered_time_at_send)
-            app_limited.append(p.app_limited)
-        return cls(flow_id, packets, acked_seq, sent_time_us, size_bits,
-                   delivered_at_send, delivered_time_at_send,
-                   app_limited, mixed)
+        """Columnarize one flush's packets."""
+        batch = cls.stage(packets[0].flow_id)
+        batch.extend(packets)
+        return batch
+
+    def extend(self, packets: list["Packet"]) -> None:
+        """:meth:`append` each packet, with the column appends hoisted."""
+        flow_id = self.flow_id
+        ap_pkt = self.packets.append
+        ap_seq = self.acked_seq.append
+        ap_sent = self.sent_time_us.append
+        ap_size = self.size_bits.append
+        ap_das = self.delivered_at_send.append
+        ap_dtas = self.delivered_time_at_send.append
+        ap_app = self.app_limited.append
+        for packet in packets:
+            if not packet.is_ack or packet.flow_id != flow_id:
+                self.mixed = True
+            ap_pkt(packet)
+            ap_seq(packet.acked_seq)
+            ap_sent(packet.sent_time_us)
+            ap_size(packet.size_bits)
+            ap_das(packet.delivered_at_send)
+            ap_dtas(packet.delivered_time_at_send)
+            ap_app(packet.app_limited)
 
     def __len__(self) -> int:
         return len(self.packets)

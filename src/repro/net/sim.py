@@ -16,6 +16,13 @@ every push and pop, so the simulator tracks how many queued entries
 are dead and compacts the heap once more than half of it is cancelled.
 Compaction preserves execution order exactly: the (time, seq) key is a
 strict total order, so rebuilding the heap cannot reorder live events.
+
+:meth:`Simulator.advance_to` lets a callback skip a round trip through
+the heap: when nothing is queued at or before ``t`` (and ``t`` is inside
+the current ``run``), the event it would schedule for ``t`` is exactly
+the next one to pop, so the callback may move the clock itself and keep
+going.  Skipping the push only relabels later sequence numbers
+uniformly, so relative event order is unchanged.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ class Simulator:
         self._heap: list[tuple[int, int, Event]] = []
         self._seq: int = 0
         self._running = False
+        #: The current ``run``'s horizon (``advance_to`` never passes it).
+        self._limit: float = 0
         #: Cancelled events still sitting in the heap.
         self._cancelled: int = 0
         self.perf = perf_counters
@@ -159,6 +168,7 @@ class Simulator:
         perf = self.perf
         # One comparison per pop instead of a None check + comparison.
         limit = float("inf") if until_us is None else until_us
+        self._limit = limit
         while heap and self._running:
             entry = heap[0]
             if entry[0] > limit:
@@ -178,6 +188,27 @@ class Simulator:
         if until_us is not None and self.now < until_us:
             self.now = until_us
         self._running = False
+
+    def advance_to(self, time_us: int) -> bool:
+        """Move the clock to ``time_us`` if no event can come first.
+
+        Succeeds -- sets ``now`` and returns ``True`` -- only from inside
+        a callback of :meth:`run`, for ``time_us`` no later than that
+        run's ``until_us``, and when the heap holds no entry (live or
+        cancelled) at a time ``<= time_us``.  The caller then does the
+        work it would have scheduled for ``time_us``.  Otherwise the
+        clock is untouched and the caller schedules as usual.
+        """
+        if time_us < self.now:
+            raise ValueError(
+                f"cannot advance to {time_us} us; now is {self.now} us")
+        if not self._running or time_us > self._limit:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= time_us:
+            return False
+        self.now = time_us
+        return True
 
     def run_for(self, duration_us: int) -> None:
         """Run for ``duration_us`` from the current clock."""

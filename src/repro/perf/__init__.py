@@ -23,7 +23,6 @@ Design constraints:
 from __future__ import annotations
 
 import time
-from typing import Iterator
 
 __all__ = ["PerfCounters"]
 
@@ -57,6 +56,14 @@ class PerfCounters:
         grant-cycle flushes the columnar transport engine delivered as
         one :class:`~repro.net.packet.AckBatch` event, and how many
         ACKs rode in them (single-ACK flushes stay scalar).
+    ``packets_paced_inline``
+        data packets a sender sent inside an earlier pacing callback,
+        after :meth:`~repro.net.sim.Simulator.advance_to`, instead of
+        from their own event.
+    ``arrivals_staged``
+        wired arrivals handed to the base station ahead of time
+        (:meth:`~repro.cell.basestation.CellularNetwork.stage`) instead
+        of through a delivery event.
     ``timers``
         ``{subsystem: seconds}`` wall time, populated only with
         ``time_subsystems=True``.
@@ -64,7 +71,8 @@ class PerfCounters:
 
     __slots__ = ("ticks", "events_popped", "events_cancelled_popped",
                  "events_scheduled", "heap_compactions", "ack_batches",
-                 "acks_batched", "timers", "time_subsystems", "_t0")
+                 "acks_batched", "packets_paced_inline", "arrivals_staged",
+                 "timers", "time_subsystems", "_t0")
 
     def __init__(self, time_subsystems: bool = False) -> None:
         self.time_subsystems = time_subsystems
@@ -79,20 +87,14 @@ class PerfCounters:
         self.heap_compactions = 0
         self.ack_batches = 0
         self.acks_batched = 0
+        self.packets_paced_inline = 0
+        self.arrivals_staged = 0
         self.timers: dict[str, float] = {}
         self._t0 = time.perf_counter()
 
     # ------------------------------------------------------------------
     # Subsystem wall-time probes
     # ------------------------------------------------------------------
-    def timed(self, key: str) -> "_Timed":
-        """Context manager accumulating wall time under ``timers[key]``.
-
-        A no-op (but still valid) context when ``time_subsystems`` is
-        off, so call sites do not need to branch.
-        """
-        return _Timed(self, key)
-
     def add_time(self, key: str, seconds: float) -> None:
         self.timers[key] = self.timers.get(key, 0.0) + seconds
 
@@ -124,6 +126,8 @@ class PerfCounters:
             "heap_compactions": self.heap_compactions,
             "ack_batches": self.ack_batches,
             "acks_batched": self.acks_batched,
+            "packets_paced_inline": self.packets_paced_inline,
+            "arrivals_staged": self.arrivals_staged,
             "cancelled_event_ratio": round(self.cancelled_event_ratio, 6),
             "timers_s": {k: round(v, 6)
                          for k, v in sorted(self.timers.items())},
@@ -141,24 +145,3 @@ class PerfCounters:
                                for k, v in sorted(self.timers.items()))
             parts.append(timing)
         return " ".join(parts)
-
-
-class _Timed:
-    """Wall-clock accumulator used by :meth:`PerfCounters.timed`."""
-
-    __slots__ = ("_perf", "_key", "_start")
-
-    def __init__(self, perf: PerfCounters, key: str) -> None:
-        self._perf = perf
-        self._key = key
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timed":
-        if self._perf.time_subsystems:
-            self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._perf.time_subsystems:
-            self._perf.add_time(self._key,
-                                time.perf_counter() - self._start)

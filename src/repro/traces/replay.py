@@ -126,7 +126,10 @@ class TraceLink(Receiver):
     Every millisecond it forwards up to the trace's budget from its
     droptail queue, then propagates for ``delay_us`` — the standard
     Mahimahi link model, usable as the ``egress`` of any
-    :class:`~repro.baselines.base.Sender`.
+    :class:`~repro.baselines.base.Sender`.  Like
+    :class:`~repro.net.link.Link`, it hands each departure to the
+    sink's ``receive_at`` when the sink has one, instead of scheduling
+    a delivery event.
     """
 
     def __init__(self, sim: Simulator, sink: Receiver,
@@ -167,6 +170,8 @@ class TraceLink(Receiver):
     def _tick(self) -> None:
         budget = self.trace.budget(self._subframe) + self._carry
         self._subframe += 1
+        now = self.sim.now
+        sink_at = getattr(self.sink, "receive_at", None)
         while self._queue and budget > 0:
             entry = self._queue[0]
             packet, remaining = entry
@@ -176,8 +181,11 @@ class TraceLink(Receiver):
             if entry[1] == 0:
                 self._queue.popleft()
                 self.forwarded += 1
-                self.sim.schedule(self.delay_us, self.sink.receive,
-                                  packet)
+                if sink_at is not None:
+                    sink_at(packet, now + self.delay_us, now)
+                else:
+                    self.sim.schedule(self.delay_us, self.sink.receive,
+                                      packet)
         # Unused budget is lost (a radio cannot bank airtime), but a
         # partially-served head packet keeps its progress.
         self._carry = 0

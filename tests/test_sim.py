@@ -143,3 +143,105 @@ def test_callback_args_passed_through():
     sim.schedule(5, lambda a, b: got.append((a, b)), 1, "two")
     sim.run()
     assert got == [(1, "two")]
+
+
+# ---------------------------------------------------------------------------
+# advance_to: a callback moving the clock itself
+# ---------------------------------------------------------------------------
+
+def test_advance_to_refuses_outside_run():
+    sim = Simulator()
+    assert not sim.advance_to(10)
+    assert sim.now == 0
+    sim.run(until_us=5)
+    assert not sim.advance_to(10)
+    assert sim.now == 5
+
+
+def test_advance_to_rejects_the_past():
+    sim = Simulator()
+    sim.schedule(100, lambda: sim.advance_to(99))
+    with pytest.raises(ValueError):
+        sim.run()
+
+
+def test_advance_to_never_passes_until():
+    sim = Simulator()
+    seen = []
+
+    def hop():
+        seen.append((sim.advance_to(101), sim.now))
+        seen.append((sim.advance_to(100), sim.now))
+
+    sim.schedule(10, hop)
+    sim.run(until_us=100)
+    assert seen == [(False, 10), (True, 100)]
+    assert sim.now == 100
+
+
+def test_advance_to_never_jumps_an_entry_at_or_before_the_target():
+    sim = Simulator()
+    fired = []
+    seen = []
+
+    def hop():
+        seen.append(sim.advance_to(50))   # an entry sits at 50
+        seen.append(sim.advance_to(49))
+        seen.append(sim.now)
+
+    sim.schedule(10, hop)
+    sim.schedule(50, fired.append, "at-50")
+    sim.run()
+    assert seen == [False, True, 49]
+    assert fired == ["at-50"]
+
+
+def test_advance_to_counts_cancelled_entries_as_blocking():
+    sim = Simulator()
+    seen = []
+    doomed = sim.schedule(30, lambda: None)
+    doomed.cancel()
+    sim.schedule(10, lambda: seen.append(sim.advance_to(40)))
+    sim.run()
+    assert seen == [False]
+
+
+def test_advance_to_refuses_after_stop():
+    sim = Simulator()
+    seen = []
+
+    def halt():
+        sim.stop()
+        seen.append(sim.advance_to(20))
+
+    sim.schedule(10, halt)
+    sim.run()
+    assert seen == [False]
+    assert sim.now == 10
+
+
+def test_advance_to_matches_scheduling_the_same_chain():
+    """A chain that hops inline visits the same instants, in the same
+    order relative to other events, as one scheduling each step."""
+    def chain(inline):
+        sim = Simulator()
+        log = []
+
+        def step(n):
+            while True:
+                log.append(("step", sim.now, n))
+                if n == 12:
+                    return
+                n += 1
+                if not (inline and sim.advance_to(sim.now + 7)):
+                    sim.schedule(7, step, n)
+                    return
+
+        sim.schedule(0, step, 0)
+        for t in (20, 21, 35, 50, 77):
+            sim.schedule_at(t, lambda t=t: log.append(("other", sim.now)))
+        sim.run(until_us=60)
+        sim.run()
+        return log
+
+    assert chain(inline=True) == chain(inline=False)
