@@ -1,7 +1,8 @@
 """The cellular network: cells, users, scheduling, HARQ and CA.
 
 :class:`CellularNetwork` is the MAC-layer heart of the reproduction.
-Once per subframe (1 ms) it runs, for every component carrier:
+Once per subframe (1 ms) it runs, for every component carrier
+something can observe (the batched engine skips the others):
 
 1. HARQ retransmissions due this subframe (8 ms after failure, §3);
 2. control-plane parameter-update bursts (Figure 7 population);
@@ -300,7 +301,8 @@ class CellularNetwork:
     #: ``_after_restore`` (``_channel_users`` is keyed by ``id()``,
     #: which cannot survive a process boundary).
     SNAPSHOT_SKIP = ("sim", "perf", "carriers", "_prbs_by_cell",
-                     "_monitors", "_user_list", "_channel_users")
+                     "_monitors", "_user_list", "_channel_users",
+                     "_live_cells")
 
     def __init__(self, sim: Simulator, carriers: list[CarrierConfig],
                  ca_policy: Optional[CaPolicy] = None,
@@ -366,10 +368,15 @@ class CellularNetwork:
         self._cell_user_count = {c: 0 for c in self.carriers}
         #: Pending HARQ retransmissions per cell (skip-safety guard).
         self._cell_retx_count = {c: 0 for c in self.carriers}
-        #: Subframes an unobservable cell's tick was skipped — its
-        #: control-traffic RNG is caught up by replaying exactly this
-        #: many generator ticks if the cell ever becomes observable.
-        self._control_lag = {c: 0 for c in self.carriers}
+        #: ``cell_id -> subframe`` of a skipped cell's first skipped
+        #: tick — its control-traffic RNG is caught up by replaying the
+        #: generator ticks since then if the cell becomes observable.
+        self._skipped_from: dict[int, int] = {}
+        #: Cached ``(cell_id, carrier)`` pairs the tick visits, in
+        #: ``carriers`` order: every cell that is not skippable.  Set to
+        #: None wherever a cell's skippability can flip; the next tick
+        #: rebuilds it and stamps the newly skipped cells.
+        self._live_cells: Optional[list[tuple[int, CarrierConfig]]] = None
         #: ``rnti -> deque[(visible_us, packet)]``: wired arrivals handed
         #: over ahead of time (:meth:`stage`), not yet in a user queue.
         self._staged: dict[int, deque] = {}
@@ -409,11 +416,9 @@ class CellularNetwork:
                    queue_packets: int, ue: Optional[UserEquipment]) -> _User:
         if rnti in self._users:
             raise ValueError(f"duplicate RNTI {rnti}")
+        self._check_cells(cells)
         # Arrivals due before the user existed are dropped.
         self._promote(rnti)
-        for cell in cells:
-            if cell not in self.carriers:
-                raise ValueError(f"unknown cell {cell}")
         user = _User(rnti, AggregationState(configured=list(cells)),
                      channel, category or UeCategory(),
                      DownlinkQueue(queue_packets), ue,
@@ -442,30 +447,64 @@ class CellularNetwork:
         else:
             user.block_safe = isinstance(channel, _BLOCK_SAFE_CHANNELS)
 
+    def _check_cells(self, cells: list[int]) -> None:
+        """Reject a cell list before any state changes: it must be
+        non-empty, known and free of duplicates."""
+        if not cells:
+            raise ValueError("a user needs at least a primary cell")
+        for cell in cells:
+            if cell not in self.carriers:
+                raise ValueError(f"unknown cell {cell}")
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"duplicate cell ids in {list(cells)}")
+
+    def _skippable(self, cell_id: int) -> bool:
+        """True when nothing on the cell can be observed: no monitor, no
+        configured user, no HARQ in flight and no PF bookkeeping (whose
+        eviction is amortized).  Only the batched engine skips."""
+        return (self.batched and not self._monitors[cell_id]
+                and self._cell_user_count[cell_id] == 0
+                and self._cell_retx_count[cell_id] == 0
+                and cell_id not in self._pf)
+
+    def _collect_live_cells(self) -> list[tuple[int, CarrierConfig]]:
+        """The cells the tick must visit; stamps newly skipped ones."""
+        live = []
+        skipped_from = self._skipped_from
+        for cell_id, carrier in self.carriers.items():
+            if self._skippable(cell_id):
+                skipped_from.setdefault(cell_id, self.subframe)
+            else:
+                live.append((cell_id, carrier))
+        return live
+
     def _catch_up_control(self, cell_id: int) -> None:
         """Replay control-generator ticks skipped while unobservable.
 
-        The replayed ticks draw the identical arrival/burst sequence the
-        scalar engine would have drawn subframe by subframe, so the
-        generator's RNG stream and in-flight burst list re-converge
-        exactly before the cell's next observed subframe.  Idle
-        stretches are crossed with :meth:`ControlTrafficGenerator.
+        Called wherever a cell may become observable (a user, a handover
+        or a monitor arrives).  A cell that was skipped rejoins the live
+        list, and the replayed ticks draw the identical arrival/burst
+        sequence the scalar engine would have drawn subframe by
+        subframe, so the generator's RNG stream and in-flight burst list
+        re-converge exactly before the cell's next observed subframe.
+        Idle stretches are crossed with :meth:`ControlTrafficGenerator.
         advance_idle` — one block Poisson draw per stretch instead of a
         Python-level tick per subframe — so catching a cell up after a
         long unobserved gap costs O(bursty subframes), not O(gap).
         """
-        lag = self._control_lag[cell_id]
-        if lag:
-            self._control_lag[cell_id] = 0
-            generator = self._control[cell_id]
-            advance = generator.advance_idle
-            generator_tick = generator.tick
-            while lag:
-                skipped = advance(lag)
-                lag -= skipped
-                if lag:
-                    generator_tick()
-                    lag -= 1
+        since = self._skipped_from.pop(cell_id, None)
+        if since is None:
+            return
+        self._live_cells = None
+        lag = self.subframe - since
+        generator = self._control[cell_id]
+        advance = generator.advance_idle
+        generator_tick = generator.tick
+        while lag:
+            lag -= advance(lag)
+            if lag:
+                generator_tick()
+                lag -= 1
 
     def remove_user(self, rnti: int) -> None:
         """Detach a user (its queued traffic is discarded)."""
@@ -475,6 +514,7 @@ class CellularNetwork:
             self._user_list = None
             for cell in user.agg.configured:
                 self._cell_user_count[cell] -= 1
+            self._live_cells = None
             user.release_channel_block()
             peers = self._channel_users.get(id(user.channel))
             if peers is not None and user in peers:
@@ -510,9 +550,7 @@ class CellularNetwork:
         user = self._users.get(rnti)
         if user is None:
             raise ValueError(f"unknown RNTI {rnti}")
-        for cell in new_cells:
-            if cell not in self.carriers:
-                raise ValueError(f"unknown cell {cell}")
+        self._check_cells(new_cells)
 
         # Abandon HARQ processes stranded on cells being left.
         keeping = set(new_cells)
@@ -536,6 +574,8 @@ class CellularNetwork:
 
         for cell in user.agg.configured:
             self._cell_user_count[cell] -= 1
+        # The cells left behind may now be skippable.
+        self._live_cells = None
         user.agg = AggregationState(configured=list(new_cells))
         for cell in new_cells:
             self._cell_user_count[cell] += 1
@@ -560,10 +600,13 @@ class CellularNetwork:
         ``_channel_users`` is keyed by ``id(channel)`` and must be
         regrouped around the restored channel objects; ``block_safe``
         and the block caches themselves come straight from the
-        snapshot, so no demotion logic reruns here.  ``_user_list`` is
-        a lazy cache the tick loop rebuilds on demand.
+        snapshot, so no demotion logic reruns here.  ``_user_list`` and
+        ``_live_cells`` are lazy caches the tick loop rebuilds on demand
+        (``_skipped_from`` is restored, so the rebuild stamps nothing
+        an uninterrupted run would not).
         """
         self._user_list = None
+        self._live_cells = None
         self._channel_users = {}
         for user in self._users.values():
             self._channel_users.setdefault(
@@ -582,6 +625,8 @@ class CellularNetwork:
     def attach_monitor(self, cell_id: int,
                        callback: Callable[[SubframeRecord], None]) -> None:
         """Subscribe a control-channel decoder to one cell."""
+        if cell_id not in self.carriers:
+            raise ValueError(f"unknown cell {cell_id}")
         self._catch_up_control(cell_id)
         self._monitors[cell_id].append(callback)
 
@@ -696,20 +741,15 @@ class CellularNetwork:
                 if user.demand_source is not None:
                     self._inject_exogenous(user, subframe)
 
+        # Skipped cells defer their control-traffic RNG draws;
+        # _catch_up_control replays them before a cell is next observed.
+        live = self._live_cells
+        if live is None:
+            live = self._live_cells = self._collect_live_cells()
         used_by_user: dict[int, int] = {}
-        for cell_id, carrier in self.carriers.items():
-            if (batched and not self._monitors[cell_id]
-                    and self._cell_user_count[cell_id] == 0
-                    and self._cell_retx_count[cell_id] == 0
-                    and cell_id not in self._pf):
-                # Nothing on this cell can be observed (no monitor, no
-                # configured users, no HARQ in flight, no PF bookkeeping
-                # with amortized eviction): defer its control-traffic
-                # RNG draws.  _catch_up_control replays exactly this
-                # many ticks before the cell next becomes observable.
-                self._control_lag[cell_id] += 1
-                continue
-            self._tick_cell(cell_id, carrier, subframe, used_by_user)
+        tick_cell = self._tick_cell
+        for cell_id, carrier in live:
+            tick_cell(cell_id, carrier, subframe, used_by_user)
 
         observe = self.ca.observe
         used_get = used_by_user.get
@@ -732,6 +772,7 @@ class CellularNetwork:
         self.sim.schedule(SUBFRAME_US, self._tick)
         if perf is not None:
             perf.ticks += 1
+            perf.cells_ticked += len(live)
             if perf.time_subsystems:
                 perf.add_time("net.tick", time.perf_counter() - t0)
 
@@ -776,6 +817,11 @@ class CellularNetwork:
                 self._retx.setdefault((cell_id, subframe + 1), []).extend(
                     deferred)
                 self._cell_retx_count[cell_id] += len(deferred)
+            if not self._cell_retx_count[cell_id] \
+                    and self._skippable(cell_id):
+                # The last retransmission drained from a cell nothing
+                # else keeps live (e.g. one a handover left).
+                self._live_cells = None
 
         # 2. Control-plane parameter-update bursts.
         for burst in self._control[cell_id].tick():

@@ -91,7 +91,7 @@ logger = logging.getLogger("repro.checkpoint")
 
 #: Schema tag + version written into every snapshot header.
 SCHEMA = "repro.harness/checkpoint"
-VERSION = 2
+VERSION = 3
 
 SNAPSHOT_SUFFIX = ".snap"
 QUARANTINE_SUFFIX = ".quarantined"

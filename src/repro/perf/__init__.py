@@ -64,6 +64,10 @@ class PerfCounters:
         wired arrivals handed to the base station ahead of time
         (:meth:`~repro.cell.basestation.CellularNetwork.stage`) instead
         of through a delivery event.
+    ``cells_ticked``
+        :meth:`~repro.cell.basestation.CellularNetwork._tick_cell`
+        calls: the live cells the MAC engine visited, summed over
+        ticks (the batched engine skips unobservable cells).
     ``timers``
         ``{subsystem: seconds}`` wall time, populated only with
         ``time_subsystems=True``.
@@ -72,7 +76,7 @@ class PerfCounters:
     __slots__ = ("ticks", "events_popped", "events_cancelled_popped",
                  "events_scheduled", "heap_compactions", "ack_batches",
                  "acks_batched", "packets_paced_inline", "arrivals_staged",
-                 "timers", "time_subsystems", "_t0")
+                 "cells_ticked", "timers", "time_subsystems", "_t0")
 
     def __init__(self, time_subsystems: bool = False) -> None:
         self.time_subsystems = time_subsystems
@@ -89,6 +93,7 @@ class PerfCounters:
         self.acks_batched = 0
         self.packets_paced_inline = 0
         self.arrivals_staged = 0
+        self.cells_ticked = 0
         self.timers: dict[str, float] = {}
         self._t0 = time.perf_counter()
 
@@ -128,6 +133,7 @@ class PerfCounters:
             "acks_batched": self.acks_batched,
             "packets_paced_inline": self.packets_paced_inline,
             "arrivals_staged": self.arrivals_staged,
+            "cells_ticked": self.cells_ticked,
             "cancelled_event_ratio": round(self.cancelled_event_ratio, 6),
             "timers_s": {k: round(v, 6)
                          for k, v in sorted(self.timers.items())},

@@ -57,6 +57,46 @@ def test_unknown_cell_rejected():
         net.add_user(1, [0, 9], StaticChannel(20.0))
 
 
+def test_duplicate_cells_rejected_in_add_user():
+    sim = Simulator()
+    net = _network(sim, [CarrierConfig(0), CarrierConfig(1)])
+    with pytest.raises(ValueError, match="duplicate cell"):
+        net.add_user(7, [1, 1], StaticChannel(20.0))
+    assert net._cell_user_count == {0: 0, 1: 0}
+    assert 7 not in net._users
+
+
+def test_attach_monitor_unknown_cell_rejected():
+    net = _network(Simulator())
+    with pytest.raises(ValueError, match="unknown cell 9"):
+        net.attach_monitor(9, lambda record: None)
+
+
+@pytest.mark.parametrize("new_cells", [[], [9], [1, 1]])
+def test_rejected_handover_changes_nothing(new_cells):
+    delivered = {}
+    for batched in (True, False):
+        sim = Simulator()
+        net = _network(sim, [CarrierConfig(0, 20.0), CarrierConfig(1, 20.0)],
+                       batched=batched)
+        got = delivered[batched] = []
+
+        def log(packet, got=got, sim=sim):
+            got.append((sim.now, packet.seq))
+        net.add_user(1, [0], StaticChannel(20.0), on_packet=log)
+        net.start()
+        sim.run(until_us=5_500)
+        with pytest.raises(ValueError):
+            net.handover(1, new_cells)
+        assert net._cell_user_count == {0: 1, 1: 0}
+        assert net.aggregation_state(1).configured == [0]
+        for seq in range(50):
+            net.enqueue(1, Packet(1, seq, MSS_BITS, sent_time_us=sim.now))
+        sim.run(until_us=200_000)
+    assert len(delivered[True]) == 50
+    assert delivered[True] == delivered[False]
+
+
 def test_cannot_start_twice():
     sim = Simulator()
     net = _network(sim)
